@@ -1044,13 +1044,14 @@ let query scale =
            Printf.sprintf "v%d" (Random.State.int rng n);
          |]));
   Printf.printf "random digraph: %d vertices, %d edge tuples\n\n" n m;
-  Printf.printf "%-10s %-7s | %7s %5s %5s | %9s %9s %7s | %9s %7s\n" "query"
-    "plan" "answers" "bags" "semij" "tuples" "reduced" "ratio" "yannakakis"
-    "brute";
+  Printf.printf "%-10s %-7s | %7s %5s %5s | %9s %9s %7s | %9s %11s %7s\n"
+    "query" "plan" "answers" "bags" "semij" "tuples" "reduced" "ratio"
+    "yannakakis" "join tuples" "brute";
   let queries =
     [
       ("triangle", "ans(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X).");
       ("4-cycle", "ans(W,X,Y,Z) :- e(W,X), e(X,Y), e(Y,Z), e(Z,W).");
+      ("5-cycle", "ans(A,B,C,D,E) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,A).");
       ("two-hop", "ans(X,Z) :- e(X,Y), e(Y,Z).");
       ("v-path", "ans(X,Z) :- e(X,Y), e(Z,Y).");
     ]
@@ -1059,7 +1060,10 @@ let query scale =
     List.map
       (fun (name, text) ->
         let q = Cq.parse_string ~source:name text in
+        let joined = Obs.Counter.make "query.radix_join_tuples" in
+        let before = Obs.Counter.value joined in
         let r, secs = time (fun () -> Y.run ~mode:Y.Answers db q) in
+        let join_tuples = Obs.Counter.value joined - before in
         let bf, bf_secs = time (fun () -> Hd_query.Brute_force.count db q) in
         if bf <> r.Y.count then
           failwith (Printf.sprintf "query %s: %d answers vs %d brute-force"
@@ -1075,9 +1079,9 @@ let query scale =
           if s.Y.acyclic then "gyo" else Printf.sprintf "ghd-w%d" s.Y.width
         in
         Printf.printf
-          "%-10s %-7s | %7d %5d %5d | %9d %9d %6.2f%% | %8.3fs %6.3fs\n" name
-          plan r.Y.count s.Y.bags s.Y.semijoins s.Y.tuples_materialized
-          s.Y.tuples_after_reduction (100.0 *. ratio) secs bf_secs;
+          "%-10s %-7s | %7d %5d %5d | %9d %9d %6.2f%% | %8.3fs %11d %6.3fs\n"
+          name plan r.Y.count s.Y.bags s.Y.semijoins s.Y.tuples_materialized
+          s.Y.tuples_after_reduction (100.0 *. ratio) secs join_tuples bf_secs;
         Obs.Json.Obj
           [
             ("query", Obs.Json.String name);
@@ -1090,6 +1094,7 @@ let query scale =
             ("tuples_after_reduction", Obs.Json.Int s.Y.tuples_after_reduction);
             ("reduction_ratio", Obs.Json.Float ratio);
             ("seconds", Obs.Json.Float secs);
+            ("radix_join_tuples", Obs.Json.Int join_tuples);
             ("seconds_brute_force", Obs.Json.Float bf_secs);
           ])
       queries

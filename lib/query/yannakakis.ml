@@ -109,25 +109,25 @@ let observe_bag r =
   Obs.Counter.add c_bag_tuples (Qrelation.cardinality r);
   Obs.Histogram.observe h_bag_size (Qrelation.cardinality r)
 
-(* materialise one relation per GHD node: join the lambda-label atom
-   relations, project onto the bag.  Completion (Lemma 2) guarantees
-   every atom is enforced unprojected at some node. *)
-let materialize_ghd ?par ~engine ghd atom_rels =
-  Obs.with_span "query.materialize" @@ fun () ->
+let shared_vars sa sb =
+  Array.of_list
+    (List.filter (fun v -> Array.exists (( = ) v) sb) (Array.to_list sa))
+
+let unit_bag () = Qrelation.make ~scope:[||] [ [||] ]
+
+(* Row engine: one relation per GHD node, each on its own -- the
+   lambda-label atom relations joined in label order, projected onto
+   the bag.  Completion (Lemma 2) guarantees every atom is enforced
+   unprojected at some node. *)
+let materialize_rows ghd atom_rels =
   let td = ghd.Ghd.td in
-  let n_nodes = Td.n_nodes td in
   let rels =
-    Array.init n_nodes (fun p ->
-        let lambda = ghd.Ghd.lambda.(p) in
+    Array.init (Td.n_nodes td) (fun p ->
         let chi = Array.of_list (Bitset.elements (Td.bag td p)) in
         let r =
-          match (engine, Array.to_list lambda) with
-          | _, [] -> Qrelation.make ~scope:[||] [ [||] ]
-          | Columnar, es ->
-              Colexec.join_project ?par
-                (List.map (fun e -> atom_rels.(e)) es)
-                ~scope:chi
-          | Rows, e :: rest ->
+          match Array.to_list ghd.Ghd.lambda.(p) with
+          | [] -> unit_bag ()
+          | e :: rest ->
               let joined =
                 List.fold_left
                   (fun acc e' -> Qrelation.join acc atom_rels.(e'))
@@ -139,6 +139,103 @@ let materialize_ghd ?par ~engine ghd atom_rels =
         r)
   in
   { rels; parent = td.Td.parent }
+
+(* join inputs in a connected greedy order: the smallest first, then
+   the smallest that shares a variable with what is already joined; a
+   cartesian step only when no remaining input shares one *)
+let connected_order inputs =
+  let rec go joined acc = function
+    | [] -> List.rev acc
+    | remaining ->
+        let touches (_, r) =
+          Array.exists (fun v -> List.mem v joined) (Qrelation.scope r)
+        in
+        let pool =
+          match List.filter touches remaining with [] -> remaining | c -> c
+        in
+        let k, r =
+          List.fold_left
+            (fun ((_, rb) as best) ((_, r) as cand) ->
+              if Qrelation.cardinality r < Qrelation.cardinality rb then cand
+              else best)
+            (List.hd pool) pool
+        in
+        go
+          (Array.to_list (Qrelation.scope r) @ joined)
+          (r :: acc)
+          (List.filter (fun (j, _) -> j <> k) remaining)
+  in
+  go [] [] (List.mapi (fun i r -> (i, r)) inputs)
+
+(* Columnar engine: bags built children first.  Node p joins its
+   lambda atoms with pi_{chi_p & chi_c}(R_c) of every child c, so
+   R_p = pi_chi_p(join lambda_p) semijoined with each child -- exactly
+   what the bottom-up semijoin pass would leave -- and a bag whose
+   lambda atoms share no variable is filtered through its children
+   instead of being built as a cartesian product.  Each atom is first
+   projected onto the variables the bag or another input of the node
+   still needs: two atoms may join on a variable outside the bag.
+   A bag that comes out empty stops the build; the bags not yet built
+   stay empty, so the reduction's entry check raises Empty_result
+   before any semijoin. *)
+let materialize_columnar ?par ghd atom_rels =
+  let td = ghd.Ghd.td in
+  let n_nodes = Td.n_nodes td in
+  let chis =
+    Array.init n_nodes (fun p -> Array.of_list (Bitset.elements (Td.bag td p)))
+  in
+  let children = Array.make n_nodes [] in
+  Array.iteri
+    (fun c p -> if p <> -1 then children.(p) <- c :: children.(p))
+    td.Td.parent;
+  let rels = Array.map (fun chi -> Qrelation.make ~scope:chi []) chis in
+  let build p =
+    let chi = chis.(p) in
+    (* a child sharing no variable is nonempty (else the build would
+       have stopped) and constrains nothing *)
+    let filters =
+      List.filter_map
+        (fun c ->
+          match shared_vars chi chis.(c) with
+          | [||] -> None
+          | shared ->
+              Some (Colexec.join_project ?par [ rels.(c) ] ~scope:shared))
+        children.(p)
+    in
+    let atoms =
+      List.map (fun e -> atom_rels.(e)) (Array.to_list ghd.Ghd.lambda.(p))
+    in
+    let scopes = List.map Qrelation.scope (atoms @ filters) in
+    let project_early i r =
+      let others = List.filteri (fun j _ -> j <> i) scopes in
+      let needed v = Array.mem v chi || List.exists (Array.mem v) others in
+      let sc = Qrelation.scope r in
+      if Array.for_all needed sc then r
+      else
+        Colexec.join_project ?par [ r ]
+          ~scope:(Array.of_list (List.filter needed (Array.to_list sc)))
+    in
+    let atoms = List.mapi project_early atoms in
+    match connected_order (atoms @ filters) with
+    | [] -> unit_bag ()
+    | inputs -> Colexec.join_project ?par inputs ~scope:chi
+  in
+  (try
+     Array.iter
+       (fun p ->
+         let r = build p in
+         observe_bag r;
+         rels.(p) <- r;
+         if Qrelation.is_empty r then raise Exit)
+       (bottom_up_order td.Td.parent)
+   with Exit -> ());
+  { rels; parent = td.Td.parent }
+
+let materialize_ghd ?par ~engine ghd atom_rels =
+  Obs.with_span "query.materialize" @@ fun () ->
+  match engine with
+  | Rows -> materialize_rows ghd atom_rels
+  | Columnar -> materialize_columnar ?par ghd atom_rels
 
 let plan ?par ~engine ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels =
   Obs.with_span "query.plan" @@ fun () ->
@@ -167,10 +264,6 @@ let plan ?par ~engine ~method_ ~jobs ~seed ~time_limit ~ordering h atom_rels =
   | Auto -> (
       match acyclic_tree () with Some t -> t | None -> ghd_plan ())
   | Min_fill | Bb_ghw | Portfolio -> ghd_plan ()
-
-let shared_vars sa sb =
-  Array.of_list
-    (List.filter (fun v -> Array.exists (( = ) v) sb) (Array.to_list sa))
 
 (* ------------------------------------------------------------------ *)
 (* Row engine: materialised semijoin reduction                         *)

@@ -9,7 +9,11 @@
       depending on [method_]), build a GHD with exact set-cover labels
       and complete it (Lemma 2);
     + materialise one relation per node: the hash join of the node's
-      lambda-label atoms projected onto its bag;
+      lambda-label atoms projected onto its bag.  The columnar engine
+      builds the bags children first and joins each child's
+      projection in as a filter, so a bag is already what the
+      bottom-up pass would leave and a label whose atoms share no
+      variable never becomes a cartesian product;
     + semijoin-reduce the tree bottom-up (and, except in boolean mode,
       top-down), after which the tree is globally consistent;
     + enumerate answers backtrack-free, project onto the head
@@ -46,7 +50,9 @@ type stats = {
   acyclic : bool;  (** answered via the GYO join tree *)
   width : int;  (** 1 when acyclic, else the GHD width of the plan *)
   bags : int;  (** join tree nodes *)
-  tuples_materialized : int;  (** total bag tuples before reduction *)
+  tuples_materialized : int;
+      (** total bag tuples before reduction; on the columnar engine's
+          GHD plans the bags are already filtered bottom-up *)
   tuples_after_reduction : int;  (** total bag tuples after semijoins *)
   semijoins : int;  (** semijoin operations performed *)
 }
